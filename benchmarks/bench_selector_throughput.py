@@ -9,10 +9,11 @@ sources and emits a machine-readable ``BENCH_selector.json``:
    the round-level draw-ahead.  Reports wall time, optimizer calls,
    evaluated cells/second, per-phase times and the speedup; asserts
    (full mode) the speedup is >= ``--min-speedup`` and the batched call
-   count stays within the configured tolerance of the serial schedule.
-   The same scenario is run a third time with the reference per-cut
-   split scoring (``split_scoring="reference"``): the two batched runs
-   take identical decisions, so their split + plan phase times isolate
+   count stays within ``BATCH_CALL_TOLERANCE`` of the serial schedule.
+   The same scenario is run a third time with the selector's split
+   scorer patched to the per-cut reference oracle
+   (``tests/oracles.py``): the two batched runs take identical
+   decisions, so their split + plan phase times isolate
    the incremental/vectorized kernels (``phases_speedup`` block;
    asserted >= ``--min-kernel-speedup`` in full mode).  A ``leaders``
    block records both sides' final leader and Pr(CS): on a
@@ -42,18 +43,23 @@ import json
 import os
 import sys
 import time
-from typing import Dict, Optional, Tuple
+from dataclasses import replace
+from typing import Dict, Tuple
+from unittest import mock
 
 import numpy as np
 
-from repro.core.selector import ConfigurationSelector, SelectorOptions
+from repro.core import selector as selector_module
+from repro.core.selector import (
+    BATCH_CALL_TOLERANCE,
+    ConfigurationSelector,
+    SelectorOptions,
+)
 from repro.core.sources import MatrixCostSource, OptimizerCostSource
 from repro.experiments.profiling import PhaseTimer
 
-GOLDEN_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "tests", "data", "selector_golden.json",
-)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDEN_PATH = os.path.join(ROOT, "tests", "data", "selector_golden.json")
 
 
 def bench_matrix(
@@ -125,7 +131,6 @@ def _compare(
     template_ids,
     base_options: SelectorOptions,
     batch_rounds: int,
-    tolerance: float,
     seed: int,
     kernel_ab: bool = False,
 ) -> Dict:
@@ -133,13 +138,7 @@ def _compare(
     serial = _run_selection(
         make_source(), template_ids, base_options, seed
     )
-    from dataclasses import replace
-
-    batched_options = replace(
-        base_options,
-        batch_rounds=batch_rounds,
-        batch_call_tolerance=tolerance,
-    )
+    batched_options = replace(base_options, batch_rounds=batch_rounds)
     batched = _run_selection(
         make_source(), template_ids, batched_options, seed
     )
@@ -178,17 +177,22 @@ def _compare(
         "batched": dict(batched, batch_rounds=batch_rounds),
         "speedup": speedup,
         "calls_ratio": calls_ratio,
-        "call_tolerance": tolerance,
+        "call_tolerance": BATCH_CALL_TOLERANCE,
         "leaders": leaders,
     }
     if kernel_ab:
         # Same batched trajectory with the historical per-cut split
         # scoring: decisions are parity-identical, so the split + plan
         # phase-time ratio isolates the kernel change.
-        reference = _run_selection(
-            make_source(), template_ids,
-            replace(batched_options, split_scoring="reference"), seed,
-        )
+        sys.path.insert(0, ROOT)
+        from tests.oracles import reference_split_scorer
+
+        with mock.patch.object(
+            selector_module, "propose_split", reference_split_scorer
+        ):
+            reference = _run_selection(
+                make_source(), template_ids, batched_options, seed
+            )
         ref_sp = _split_plan(reference)
         inc_sp = _split_plan(batched)
         report["phases_speedup"] = {
@@ -216,7 +220,7 @@ def _compare(
     return report
 
 
-def section_matrix(quick: bool, tolerance: float) -> Dict:
+def section_matrix(quick: bool) -> Dict:
     """MatrixCostSource selection: the acceptance-criterion regime."""
     n, t, k = (1200, 24, 8) if quick else (5000, 40, 8)
     matrix, template_ids = bench_matrix(n, t, k, tie=True)
@@ -237,8 +241,7 @@ def section_matrix(quick: bool, tolerance: float) -> Dict:
     report = _compare(
         lambda: MatrixCostSource(matrix),
         template_ids, options,
-        batch_rounds=64, tolerance=tolerance, seed=7,
-        kernel_ab=True,
+        batch_rounds=64, seed=7, kernel_ab=True,
     )
     report.update(
         n_queries=n, k=k, scheme="delta", stratify="progressive",
@@ -247,7 +250,7 @@ def section_matrix(quick: bool, tolerance: float) -> Dict:
     return report
 
 
-def section_optimizer(quick: bool, tolerance: float) -> Dict:
+def section_optimizer(quick: bool) -> Dict:
     """OptimizerCostSource selection over live what-if calls."""
     from repro.optimizer import WhatIfOptimizer
     from repro.physical import build_pool, enumerate_configurations
@@ -284,7 +287,7 @@ def section_optimizer(quick: bool, tolerance: float) -> Dict:
 
     report = _compare(
         make_source, workload.template_ids, options,
-        batch_rounds=64, tolerance=tolerance, seed=7,
+        batch_rounds=64, seed=7,
     )
     report.update(
         n_queries=size, k=k, scheme="delta", stratify="progressive",
@@ -334,8 +337,6 @@ def main(argv=None) -> int:
                         help="required split+plan reduction of the "
                              "incremental split kernel vs the reference "
                              "per-cut scoring (full mode only)")
-    parser.add_argument("--tolerance", type=float, default=0.05,
-                        help="batch_call_tolerance for the batched runs")
     parser.add_argument("--skip-optimizer", action="store_true",
                         help="skip the live-optimizer section")
     args = parser.parse_args(argv)
@@ -343,13 +344,11 @@ def main(argv=None) -> int:
     report = {
         "benchmark": "selector_throughput",
         "quick": bool(args.quick),
-        "matrix_selection": section_matrix(args.quick, args.tolerance),
+        "matrix_selection": section_matrix(args.quick),
         "golden_check": section_golden(),
     }
     if not args.skip_optimizer:
-        report["optimizer_selection"] = section_optimizer(
-            args.quick, args.tolerance
-        )
+        report["optimizer_selection"] = section_optimizer(args.quick)
 
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2, default=float)
@@ -391,10 +390,10 @@ def main(argv=None) -> int:
     failures = []
     if g.get("checked") and not g["bit_identical"]:
         failures.append("batch_rounds=1 diverged from the golden fixture")
-    if abs(m["calls_ratio"] - 1.0) > args.tolerance:
+    if abs(m["calls_ratio"] - 1.0) > BATCH_CALL_TOLERANCE:
         failures.append(
             f"batched calls ratio {m['calls_ratio']:.3f} outside "
-            f"+/-{args.tolerance:.0%} of the serial schedule"
+            f"+/-{BATCH_CALL_TOLERANCE:.0%} of the serial schedule"
         )
     if not args.quick and m["speedup"] < args.min_speedup:
         failures.append(

@@ -35,7 +35,6 @@ __all__ = [
     "round_to_grid",
     "group_intervals",
     "apply_group",
-    "apply_group_reference",
 ]
 
 
@@ -59,21 +58,6 @@ def group_intervals(
         (int(lo), int(hi), int(m))
         for (lo, hi), m in zip(uniq, counts)
     ]
-
-
-def _window_extremum(
-    u: np.ndarray, window: int, kind: str
-) -> np.ndarray:
-    """Trailing-window extremum: out[p] = ext(u[max(0, p-window+1) : p+1])."""
-    size = window
-    origin = (size - 1) // 2
-    if kind == "max":
-        return maximum_filter1d(
-            u, size=size, mode="constant", cval=-np.inf, origin=origin
-        )
-    return minimum_filter1d(
-        u, size=size, mode="constant", cval=np.inf, origin=origin
-    )
 
 
 def apply_group(
@@ -160,48 +144,3 @@ def apply_group(
     p = np.arange(width + m, dtype=np.float64)
     out = m * base + p * alpha + ext
     return out.T.ravel()[:new_len].copy()
-
-
-def apply_group_reference(
-    state: np.ndarray,
-    d: int,
-    m: int,
-    base: float,
-    alpha: float,
-    kind: str = "max",
-) -> np.ndarray:
-    """The historical per-residue-class transition (parity baseline).
-
-    Same contract as :func:`apply_group`; walks the ``d`` residue
-    classes one strided slice at a time instead of packing them into a
-    single filtered matrix.  Kept for the bitwise-parity tests in
-    ``tests/test_bound_kernels.py``.
-    """
-    if d <= 0:
-        raise ValueError(f"group width d must be positive, got {d}")
-    if m <= 0:
-        raise ValueError(f"group multiplicity must be positive, got {m}")
-    cur = len(state)
-    new_len = cur + m * d
-    fill = -np.inf if kind == "max" else np.inf
-    out = np.full(new_len, fill)
-    n_classes = min(d, new_len)
-    if m + 1 < n_classes:
-        reducer = np.maximum if kind == "max" else np.minimum
-        for c in range(m + 1):
-            lo_off = c * d
-            contribution = m * base + c * alpha
-            segment = out[lo_off: lo_off + cur]
-            reducer(segment, state + contribution, out=segment)
-        return out
-    for r in range(n_classes):
-        t = state[r::d]
-        if len(t) == 0:
-            continue
-        idx = np.arange(len(t), dtype=np.float64)
-        u = t - idx * alpha
-        padded = np.concatenate([u, np.full(m, fill)])
-        ext = _window_extremum(padded, m + 1, kind)
-        p = np.arange(len(padded), dtype=np.float64)
-        out[r::d] = m * base + p * alpha + ext
-    return out

@@ -35,7 +35,10 @@ __all__ = [
     "restore_rng",
 ]
 
-CHECKPOINT_VERSION = 1
+#: Bumped whenever a payload written by an older build could not
+#: resume bit-identically (2: the selector's option set shrank, and
+#: ``eliminated`` drops a rival that rejoined the active set).
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(path: str, payload: dict) -> None:

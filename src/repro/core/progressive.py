@@ -18,26 +18,23 @@ candidate splits are estimated from per-template running statistics:
 the within-template variance plus the between-template spread, which is
 exactly what makes template-aligned strata effective.
 
-Two implementations of the split search are provided:
+:func:`propose_split` is the split search.  Per stratum it keeps a
+cache entry (stamped by the stratum's member sample count, so it is
+invalidated exactly when that stratum ingests samples) holding the
+stratum's variance estimate and, for splittable strata, prefix-sum
+aggregates (count / size-weighted sum / size-weighted sum of squares
+over the mean-sorted member templates) from which every cut's left and
+right variance is an O(1) read.  All ``(stratum, cut)`` candidates are
+then scored through one
+:func:`repro.core.allocation.samples_needed_batch` call — a split check
+is an array reduction instead of a per-cut recompute.
 
-* :func:`propose_split` — the incremental kernel.  Per stratum it keeps
-  a cache entry (stamped by the stratum's member sample count, so it is
-  invalidated exactly when that stratum ingests samples) holding the
-  stratum's variance estimate and, for splittable strata, prefix-sum
-  aggregates (count / size-weighted sum / size-weighted sum of squares
-  over the mean-sorted member templates) from which every cut's left
-  and right variance is an O(1) read.  All ``(stratum, cut)``
-  candidates are then scored through one
-  :func:`repro.core.allocation.samples_needed_batch` call — a split
-  check is an array reduction instead of a per-cut recompute.
-* :func:`propose_split_reference` — the historical per-cut recompute
-  (one full candidate stratification and variance pass per cut), kept
-  as the parity baseline for tests and the benchmark's kernel A/B.
-
-Both return the same decisions on the covered scenarios (pinned by the
-golden fixture and ``tests/test_bound_kernels.py``); the candidate
-enumeration order (stratum index ascending, cut ascending, strict
-improvement) is identical, so tie-breaking matches.
+The historical per-cut recompute (one full candidate stratification
+and variance pass per cut) lives in ``tests/oracles.py`` as the parity
+oracle: the golden fixture replays through it and
+``tests/test_bound_kernels.py`` compares the two decision by decision.
+The candidate enumeration order (stratum index ascending, cut
+ascending, strict improvement) is identical, so tie-breaking matches.
 """
 
 from __future__ import annotations
@@ -58,7 +55,6 @@ __all__ = [
     "SplitDecision",
     "estimate_stratum_variance",
     "propose_split",
-    "propose_split_reference",
 ]
 
 
@@ -99,22 +95,6 @@ def estimate_stratum_variance(
     m_h = float((sizes * means).sum() / total)
     return float(
         (sizes * (variances + (means - m_h) ** 2)).sum() / total
-    )
-
-
-def _strata_variances(
-    strat: Stratification,
-    template_sizes: np.ndarray,
-    template_means: np.ndarray,
-    template_vars: np.ndarray,
-) -> np.ndarray:
-    return np.array(
-        [
-            estimate_stratum_variance(
-                stratum, template_sizes, template_means, template_vars
-            )
-            for stratum in strat.strata
-        ]
     )
 
 
@@ -373,89 +353,3 @@ def propose_split(
         expected_samples=int(needed[best_pos]),
         baseline_samples=baseline,
     )
-
-
-def propose_split_reference(
-    strat: Stratification,
-    template_sizes: np.ndarray,
-    template_counts: np.ndarray,
-    template_means: np.ndarray,
-    template_vars: np.ndarray,
-    target_var: float,
-    n_min: int,
-) -> Optional[SplitDecision]:
-    """The historical split search: full recompute per candidate cut.
-
-    Semantically identical to :func:`propose_split`; kept as the
-    parity/benchmark baseline.  Builds one complete candidate
-    ``Stratification`` and variance pass per cut, so a check over a
-    stratum with ``T`` templates costs ``O(T^2)`` variance estimates
-    where the incremental kernel reads ``O(T)`` prefix sums.
-    """
-    if not np.isfinite(target_var) or target_var <= 0:
-        return None
-
-    sizes = strat.sizes
-    sampled = np.array(
-        [
-            int(template_counts[np.fromiter(s, dtype=np.int64)].sum())
-            for s in strat.strata
-        ],
-        dtype=np.int64,
-    )
-    floors = np.maximum(np.minimum(n_min, sizes), sampled)
-    variances = _strata_variances(
-        strat, template_sizes, template_means, template_vars
-    )
-    baseline = samples_needed(sizes, variances, target_var, floors=floors)
-
-    expected_alloc = neyman_allocation(
-        sizes, np.sqrt(variances), baseline, floors=floors
-    )
-
-    best: Optional[SplitDecision] = None
-    for h, stratum in enumerate(strat.strata):
-        if len(stratum) < 2:
-            continue
-        if expected_alloc[h] < 2 * n_min:
-            continue
-        tids = np.fromiter(stratum, dtype=np.int64)
-        if (template_counts[tids] == 0).any():
-            continue
-        order = np.argsort(template_means[tids], kind="stable")
-        ordered = [int(t) for t in tids[order]]
-        for cut in range(1, len(ordered)):
-            left = tuple(ordered[:cut])
-            right = tuple(ordered[cut:])
-            candidate = strat.split(h, left, right)
-            cand_sampled = np.array(
-                [
-                    int(
-                        template_counts[
-                            np.fromiter(s, dtype=np.int64)
-                        ].sum()
-                    )
-                    for s in candidate.strata
-                ],
-                dtype=np.int64,
-            )
-            cand_floors = np.maximum(
-                np.minimum(n_min, candidate.sizes), cand_sampled
-            )
-            cand_vars = _strata_variances(
-                candidate, template_sizes, template_means, template_vars
-            )
-            needed = samples_needed(
-                candidate.sizes, cand_vars, target_var, floors=cand_floors
-            )
-            if needed < baseline and (
-                best is None or needed < best.expected_samples
-            ):
-                best = SplitDecision(
-                    stratum_idx=h,
-                    left=left,
-                    right=right,
-                    expected_samples=needed,
-                    baseline_samples=baseline,
-                )
-    return best

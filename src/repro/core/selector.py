@@ -16,6 +16,11 @@ supported:
                     the strawman of Figure 2)
 ==================  ====================================================
 
+Both schemes run through one round loop — evaluate, test ``Pr(CS)``,
+eliminate, refine the strata (Algorithm 2), draw — over a small scheme
+object (``_DeltaScheme`` / ``_IndependentScheme``) that supplies only
+what differs: estimator, split owner, allocation and checkpoint fields.
+
 Configurations whose pairwise ``Pr(CS_{l,j})`` exceeds an elimination
 threshold are dropped from further sampling (the large-``k``
 optimization of §5); they keep contributing their frozen estimates to
@@ -31,14 +36,13 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .allocation import (
     DeltaStratumScorer,
     batch_multiplier,
-    pick_delta_stratum,
     variance_reduction_many,
 )
 from .checkpoint import (
@@ -54,16 +58,29 @@ from .prcs import (
     pairwise_prcs,
     per_pair_alpha,
 )
-from .progressive import propose_split, propose_split_reference
+from .progressive import propose_split
 from .sources import CostSource
 from .stratification import Stratification
 
 __all__ = [
+    "BATCH_GROWTH",
+    "BATCH_CALL_TOLERANCE",
     "SelectorOptions",
     "SelectionResult",
     "SelectorState",
     "ConfigurationSelector",
 ]
+
+
+#: Geometric growth factor of the draw-ahead batch size: each batch
+#: plans up to ``ceil(previous * BATCH_GROWTH)`` rounds (see
+#: :func:`repro.core.allocation.batch_multiplier`).
+BATCH_GROWTH = 2.0
+#: Bound on the optimizer calls batching may spend beyond the serial
+#: schedule: a batch's rounds past its first may cost at most this
+#: fraction of the calls already spent, so Pr(CS) is re-checked often
+#: enough that termination overshoot stays within tolerance.
+BATCH_CALL_TOLERANCE = 0.05
 
 
 def _jsonify_options(options: "SelectorOptions") -> dict:
@@ -233,6 +250,8 @@ class SelectorState:
         )
 
 
+
+
 @dataclass(frozen=True)
 class SelectorOptions:
     """Tunables of the selection procedure.
@@ -267,38 +286,17 @@ class SelectorOptions:
         Recompute estimates/allocation every this many draws (1
         reproduces the paper exactly; larger values trade a slightly
         stale allocation for speed in Monte Carlo runs).
-    split_check_every:
-        How often (in draws) Algorithm 2 is consulted.
     batch_rounds:
         Maximum number of variance-greedy allocation rounds coalesced
         into one draw-ahead batch (drawn, costed via
         ``CostSource.cost_many`` and ingested together, with a single
-        termination/elimination/split re-check per batch).  ``1`` (the
-        default) disables coalescing and is bit-identical to the
-        serial schedule under a fixed seed.
-    batch_growth:
-        Geometric growth factor of the batch size: each batch plans up
-        to ``ceil(previous * batch_growth)`` rounds (clamped by
-        ``batch_rounds`` and the call tolerance).  Must be >= 1.
-    batch_call_tolerance:
-        Bound on the optimizer calls batching may spend beyond the
-        serial schedule: a batch's rounds past its first may cost at
-        most this fraction of the calls already spent, so PRCS is
-        re-checked often enough that termination overshoot stays
-        within tolerance.
-    estimator:
-        Pairwise difference estimator mode for Delta Sampling:
-        ``"buffer"`` (exact aligned-buffer reductions), ``"welford"``
-        (incremental accumulators, O(1) per ingested sample), or
-        ``"auto"`` (default — ``"buffer"`` when ``batch_rounds == 1``
-        so serial runs stay bit-identical, ``"welford"`` otherwise).
-    split_scoring:
-        Algorithm 2 split-search implementation: ``"incremental"``
-        (default — count-stamped per-stratum prefix-sum aggregates,
-        all cuts scored through one batched ``#Samples`` search) or
-        ``"reference"`` (the historical per-cut recompute, kept for
-        parity testing and benchmarking).  Both produce the same
-        decisions on the pinned scenarios (golden fixture).
+        termination/elimination/split re-check per batch).  The batch
+        size ramps up by :data:`BATCH_GROWTH` and is capped by
+        :data:`BATCH_CALL_TOLERANCE`.  ``1`` (the default) disables
+        coalescing and is bit-identical to the serial schedule under a
+        fixed seed.  It also picks Delta Sampling's pairwise estimator:
+        exact aligned-buffer reductions at ``1``, incremental Welford
+        accumulators (O(1) per ingested sample) otherwise.
     """
 
     alpha: float = 0.9
@@ -311,12 +309,7 @@ class SelectorOptions:
     elimination_threshold: float = 0.995
     max_calls: Optional[int] = None
     reeval_every: int = 1
-    split_check_every: int = 1
     batch_rounds: int = 1
-    batch_growth: float = 2.0
-    batch_call_tolerance: float = 0.05
-    estimator: str = "auto"
-    split_scoring: str = "incremental"
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha < 1.0):
@@ -333,31 +326,9 @@ class SelectorOptions:
             raise ValueError(
                 f"reeval_every must be >= 1, got {self.reeval_every}"
             )
-        if self.split_check_every < 1:
-            raise ValueError(
-                f"split_check_every must be >= 1, got "
-                f"{self.split_check_every}"
-            )
         if self.batch_rounds < 1:
             raise ValueError(
                 f"batch_rounds must be >= 1, got {self.batch_rounds}"
-            )
-        if not self.batch_growth >= 1.0:
-            raise ValueError(
-                f"batch_growth must be >= 1, got {self.batch_growth}"
-            )
-        if not self.batch_call_tolerance >= 0.0:
-            raise ValueError(
-                f"batch_call_tolerance must be >= 0, got "
-                f"{self.batch_call_tolerance}"
-            )
-        if self.estimator not in ("auto", "buffer", "welford"):
-            raise ValueError(
-                f"unknown estimator mode {self.estimator!r}"
-            )
-        if self.split_scoring not in ("incremental", "reference"):
-            raise ValueError(
-                f"unknown split_scoring mode {self.split_scoring!r}"
             )
 
 
@@ -376,7 +347,9 @@ class SelectionResult:
     estimates:
         Final estimated total costs per configuration.
     eliminated:
-        Configurations dropped by the large-``k`` optimization.
+        Configurations dropped by the large-``k`` optimization and
+        still out of sampling at the end, in elimination order: each
+        at most once, never the selected one.
     stratum_counts:
         Per-stratum workload sizes of the final stratification (Delta)
         or per-configuration stratum counts (Independent).
@@ -402,6 +375,16 @@ class SelectionResult:
     history: List[Tuple[int, float]] = field(default_factory=list)
     queries_sampled: int = 0
     final_strata: Tuple[Tuple[int, ...], ...] = ()
+
+
+#: Per-pair ``(-gap, variance)`` of ``X_best - X_j``, keyed by ``j``.
+_PairStats = Dict[int, Tuple[float, float]]
+_Draws = Sequence[Tuple[int, int]]
+
+
+def _leader(totals: np.ndarray) -> int:
+    """The configuration with the lowest finite estimated total."""
+    return int(np.argmin(np.where(np.isfinite(totals), totals, np.inf)))
 
 
 class ConfigurationSelector:
@@ -478,14 +461,7 @@ class ConfigurationSelector:
                 )
         self.warm_state = warm_state
         self.carried_samples = 0
-        # Per-owner Algorithm 2 split caches (stratum tuple -> stamped
-        # aggregates; see repro.core.progressive).  Delta Sampling keys
-        # by the *directed* binding pair — diff_template_moments negates
-        # means with direction, which flips the cut ordering —
-        # Independent Sampling by configuration.
-        self._split_caches: Dict[Tuple, Dict] = {}
-        self._delta_state: Optional[DeltaState] = None
-        self._independent_state: Optional[IndependentState] = None
+        self._scheme = None
         self._final_strata: Optional[Tuple[Tuple[int, ...], ...]] = None
         self.template_overheads = (
             np.asarray(template_overheads, dtype=np.float64)
@@ -563,9 +539,7 @@ class ConfigurationSelector:
     # ------------------------------------------------------------------
     def run(self) -> SelectionResult:
         """Run Algorithm 1 to termination."""
-        if self.options.scheme == "delta":
-            return self._run_delta()
-        return self._run_independent()
+        return self._run()
 
     def resume(self, path: Optional[str] = None) -> SelectionResult:
         """Continue a checkpointed run to termination.
@@ -616,9 +590,168 @@ class ConfigurationSelector:
                 "checkpoint was written under different selector "
                 "options; resuming would not be bit-identical"
             )
-        if self.options.scheme == "delta":
-            return self._run_delta(resume=payload)
-        return self._run_independent(resume=payload)
+        return self._run(resume=payload)
+
+    def export_state(self) -> SelectorState:
+        """Snapshot the estimator state of the completed (or
+        in-progress) run for warm starts and checkpointing.
+
+        Raises ``RuntimeError`` before the first :meth:`run`.
+        """
+        if self._scheme is None:
+            raise RuntimeError("no run to export state from")
+        strata = (
+            None if self._final_strata is None
+            else [[int(t) for t in group] for group in self._final_strata]
+        )
+        return self._scheme.export(strata)
+
+    # ------------------------------------------------------------------
+    # the round loop
+    # ------------------------------------------------------------------
+    def _run(self, resume: Optional[dict] = None) -> SelectionResult:
+        """Algorithm 1 for either sampling scheme.
+
+        Each round evaluates the estimates, tests ``Pr(CS) > alpha``,
+        eliminates settled rivals, refines the strata (Algorithm 2)
+        and draws the next batch.  The scheme object supplies what
+        differs between Delta and Independent Sampling: estimator,
+        split owner, allocation and checkpoint fields.
+        """
+        opts = self.options
+        k = self.source.n_configs
+        # Per-owner Algorithm 2 split caches (stratum tuple -> stamped
+        # aggregates; see repro.core.progressive).
+        self._split_caches: Dict[object, Dict] = {}
+        # Building the scheme's state consumes the RNG (sampler
+        # shuffles), resumed or not.
+        scheme = (
+            _DeltaScheme(self) if opts.scheme == "delta"
+            else _IndependentScheme(self)
+        )
+        self._scheme = scheme
+        if resume is not None:
+            # Restore overwrites the fresh shuffles and RNG state the
+            # construction above consumed; from here on every draw and
+            # every float matches the uninterrupted run.
+            scheme.restore(resume)
+            restore_rng(self.rng, resume["rng"])
+            self.carried_samples = int(resume["carried_samples"])
+            self._round_mult = int(resume["round_mult"])
+            active = [int(j) for j in resume["active"]]
+            eliminated = [int(j) for j in resume["eliminated"]]
+            consec = int(resume["consec"])
+            history = [
+                (int(c), float(p)) for c, p in resume["history"]
+            ]
+            round_idx = int(resume["round"])
+            # Budget/history accounting continues from the recorded
+            # spend whether this process's source already made those
+            # calls or starts fresh (sampling is without replacement,
+            # so no checkpointed pair is ever re-requested).
+            start_calls = self.source.calls - int(resume["calls_used"])
+        else:
+            self._round_mult = 1
+            if self.warm_state is not None:
+                self.carried_samples = scheme.import_warm(self.warm_state)
+            scheme.start()
+            active = list(range(k))
+            eliminated: List[int] = []
+            consec = 0
+            history: List[Tuple[int, float]] = []
+            round_idx = 0
+            start_calls = self.source.calls
+        self._start_calls = start_calls
+
+        def calls_used() -> int:
+            return self.source.calls - start_calls
+
+        if resume is None:
+            # Pilot: n_min draws per stratum.
+            scheme.pilot()
+
+        while True:
+            if self._checkpoint_due(round_idx):
+                payload = self._checkpoint_common(
+                    round_idx, calls_used(), active, eliminated,
+                    consec, history,
+                )
+                payload.update(scheme.checkpoint_fields())
+                save_checkpoint(self.checkpoint_path, payload)
+            round_idx += 1
+            # --- evaluate ---
+            with self._timer.phase("evaluate"):
+                best, pair_stats = scheme.evaluate(active)
+                pair_prcs = {
+                    j: pairwise_prcs(-neg_gap, var, opts.delta)
+                    for j, (neg_gap, var) in pair_stats.items()
+                }
+                prcs = (
+                    bonferroni(list(pair_prcs.values()))
+                    if pair_prcs else 1.0
+                )
+            history.append((calls_used(), prcs))
+
+            # --- terminate? ---
+            if prcs > opts.alpha:
+                consec += 1
+            else:
+                consec = 0
+            if consec >= opts.consecutive:
+                terminated_by = "alpha"
+                break
+            if opts.max_calls is not None and calls_used() >= opts.max_calls:
+                terminated_by = "max_calls"
+                break
+
+            # --- eliminate ---
+            if opts.eliminate:
+                dropped = {
+                    j for j in active
+                    if j != best
+                    and pair_prcs[j] > opts.elimination_threshold
+                }
+                eliminated.extend(j for j in active if j in dropped)
+                active = [j for j in active if j not in dropped]
+                if best not in active:
+                    # A rival eliminated earlier leads again: it samples
+                    # again and so is no longer eliminated.
+                    active.append(best)
+                    eliminated.remove(best)
+
+            # --- progressive stratification (Algorithm 2) ---
+            if opts.stratify == "progressive":
+                with self._timer.phase("split"):
+                    scheme.split(best, pair_stats, active)
+
+            # --- draw the next batch of samples ---
+            rounds = self._next_batch_rounds(
+                calls_used(),
+                max(1, opts.reeval_every) * scheme.calls_per_draw(active),
+                consec,
+            )
+            if not scheme.draw(best, pair_stats, active, rounds):
+                # No active configuration has anything left to draw.
+                terminated_by = "exhausted"
+                prcs = 1.0
+                break
+
+        totals = scheme.totals()
+        best = int(np.argmin(totals))
+        final_strata, stratum_counts, queries_sampled = scheme.summary(best)
+        self._final_strata = final_strata
+        return SelectionResult(
+            best_index=best,
+            prcs=prcs,
+            optimizer_calls=calls_used(),
+            estimates=totals,
+            eliminated=[j for j in eliminated if j != best],
+            stratum_counts=stratum_counts,
+            terminated_by=terminated_by,
+            history=history,
+            queries_sampled=queries_sampled,
+            final_strata=final_strata,
+        )
 
     # ------------------------------------------------------------------
     # checkpoint plumbing
@@ -655,32 +788,6 @@ class ConfigurationSelector:
             "consec": int(consec),
             "history": [[int(c), float(p)] for c, p in history],
         }
-
-    def export_state(self) -> SelectorState:
-        """Snapshot the estimator state of the completed (or
-        in-progress) run for warm starts and checkpointing.
-
-        Raises ``RuntimeError`` before the first :meth:`run`.
-        """
-        strata = (
-            None if self._final_strata is None
-            else [[int(t) for t in group] for group in self._final_strata]
-        )
-        if self._delta_state is not None:
-            return SelectorState(
-                scheme="delta",
-                n_configs=self.source.n_configs,
-                values=self._delta_state.export_samples(),
-                strata=strata,
-            )
-        if self._independent_state is not None:
-            return SelectorState(
-                scheme="independent",
-                n_configs=self.source.n_configs,
-                moments=self._independent_state.export_moments(),
-                strata=strata,
-            )
-        raise RuntimeError("no run to export state from")
 
     # ------------------------------------------------------------------
     # shared helpers
@@ -735,18 +842,6 @@ class ConfigurationSelector:
             )
         return out
 
-    def _budget_left(self, calls: int) -> bool:
-        return (
-            self.options.max_calls is None
-            or calls < self.options.max_calls
-        )
-
-    def _estimator_mode(self) -> str:
-        """Resolve the pairwise-estimator mode (``"auto"`` dispatch)."""
-        if self.options.estimator != "auto":
-            return self.options.estimator
-        return "buffer" if self.options.batch_rounds == 1 else "welford"
-
     def _chunk_allowance(self, pending: int, per_draw: int) -> int:
         """Draws affordable right now under the serial budget check.
 
@@ -754,11 +849,7 @@ class ConfigurationSelector:
         allowed while spent calls stay strictly below ``max_calls``.
         With at most ``per_draw`` calls per draw, the next
         ``ceil(left / per_draw)`` draws are each serially allowed, so
-        they can be drawn ahead and costed in one batch; callers loop,
-        re-reading the true call counter between chunks, until
-        ``pending`` is used up or the budget binds — reproducing the
-        serial truncation point exactly even when cache hits make
-        draws cheaper than ``per_draw``.
+        they can be drawn ahead and costed in one batch.
         """
         if self.options.max_calls is None:
             return pending
@@ -768,6 +859,68 @@ class ConfigurationSelector:
         if left <= 0:
             return 0
         return min(pending, -(-left // per_draw))
+
+    def _draw_chunked(
+        self,
+        sampler,
+        stratum: Sequence[int],
+        n: int,
+        per_draw: int,
+        ingest: Callable[[_Draws], None],
+        first_free: bool = False,
+    ) -> Tuple[int, bool]:
+        """Draw up to ``n`` queries from ``stratum`` and ingest them.
+
+        Draws are taken ahead and costed in chunks of what the budget
+        still allows, re-reading the true call counter between chunks
+        until ``n`` are drawn or the budget binds — reproducing the
+        serial truncation point exactly even when cache hits make
+        draws cheaper than ``per_draw`` calls.  A short draw (the
+        stratum ran dry) ends the chunk.  With ``first_free`` the first
+        draw skips the budget check, as a round's first serial draw
+        does (possible after a split's pilot spent the budget).
+
+        Returns ``(drawn, budget_left)``.
+        """
+        drawn = 0
+        while drawn < n:
+            chunk = self._chunk_allowance(n - drawn, per_draw)
+            if chunk <= 0 and first_free and drawn == 0:
+                chunk = 1
+            if chunk <= 0:
+                return drawn, False
+            with self._timer.phase("draw"):
+                draws = sampler.draw_many(stratum, self.rng, chunk)
+            if draws:
+                ingest(draws)
+                drawn += len(draws)
+            if len(draws) < chunk:
+                break
+        return drawn, True
+
+    def _pilot(
+        self,
+        sampler,
+        strat: Stratification,
+        drawn_in: Callable[[Sequence[int]], int],
+        per_draw: int,
+        ingest: Callable[[_Draws], None],
+    ) -> None:
+        """Fill every stratum to ``n_min`` samples (or exhaust it).
+
+        Samples already held (carried warm-start samples included)
+        count toward the target, so a well-carried stratum costs the
+        pilot nothing.  Stops at the first stratum the budget cuts.
+        """
+        for stratum in strat.strata:
+            need = min(
+                self.options.n_min,
+                sum(self.template_sizes[t] for t in stratum),
+            ) - drawn_in(stratum)
+            if need > 0 and not self._draw_chunked(
+                sampler, stratum, need, per_draw, ingest
+            )[1]:
+                return
 
     def _next_batch_rounds(self, calls_used: int, round_calls: int,
                            consec: int) -> int:
@@ -783,333 +936,16 @@ class ConfigurationSelector:
         mult = batch_multiplier(
             self._round_mult,
             self.options.batch_rounds,
-            self.options.batch_growth,
-            self.options.batch_call_tolerance,
+            BATCH_GROWTH,
+            BATCH_CALL_TOLERANCE,
             calls_used,
             round_calls,
         )
         self._round_mult = mult
         return mult
 
-    # ------------------------------------------------------------------
-    # Delta Sampling driver
-    # ------------------------------------------------------------------
-    def _run_delta(self, resume: Optional[dict] = None) -> SelectionResult:
-        opts = self.options
-        k = self.source.n_configs
-        state = DeltaState(
-            k, self.n_templates, self.indices_by_template, self.rng,
-            estimator=self._estimator_mode(),
-        )
-        self._delta_state = state
-        if resume is not None:
-            # Restore overwrites the fresh shuffles and RNG state the
-            # construction above consumed; from here on every draw and
-            # every float matches the uninterrupted run.
-            state.restore_state(resume["state"])
-            restore_rng(self.rng, resume["rng"])
-            self.carried_samples = int(resume["carried_samples"])
-            self._round_mult = int(resume["round_mult"])
-            strat = Stratification(
-                [tuple(int(t) for t in g) for g in resume["strata"]],
-                self.template_sizes,
-            )
-            active = [int(j) for j in resume["active"]]
-            eliminated = [int(j) for j in resume["eliminated"]]
-            consec = int(resume["consec"])
-            history = [
-                (int(c), float(p)) for c, p in resume["history"]
-            ]
-            strat_version = int(resume["strat_version"])
-            round_idx = int(resume["round"])
-            # Budget/history accounting continues from the recorded
-            # spend whether this process's source already made those
-            # calls or starts fresh (sampling is without replacement,
-            # so no checkpointed pair is ever re-requested).
-            start_calls = self.source.calls - int(resume["calls_used"])
-        else:
-            self._round_mult = 1
-            if self.warm_state is not None:
-                self.carried_samples = state.import_samples(
-                    self.warm_state.values
-                )
-            strat = self._initial_stratification()
-            active = list(range(k))
-            eliminated = []
-            consec = 0
-            history = []
-            strat_version = 0
-            round_idx = 0
-            start_calls = self.source.calls
-        self._start_calls = start_calls
-        terminated_by = "exhausted"
-
-        def calls_used() -> int:
-            return self.source.calls - start_calls
-
-        if resume is None:
-            # Pilot: n_min draws per stratum (shared across configs).
-            self._delta_pilot(state, strat, active)
-
-        # Eliminated configurations stop sampling, so their aligned
-        # difference moments against any configuration are frozen; cache
-        # their pair estimates per (best, stratification) to keep large-k
-        # rounds cheap.  (Rebuilt from frozen buffers on resume, so the
-        # recomputed entries are bit-identical.)
-        pair_cache: Dict[int, Tuple[float, float]] = {}
-        cache_key: Optional[Tuple[int, int]] = None
-
-        while True:
-            if self._checkpoint_due(round_idx):
-                payload = self._checkpoint_common(
-                    round_idx, calls_used(), active, eliminated,
-                    consec, history,
-                )
-                payload["strata"] = [
-                    [int(t) for t in group] for group in strat.strata
-                ]
-                payload["strat_version"] = int(strat_version)
-                payload["state"] = state.state_dict()
-                save_checkpoint(self.checkpoint_path, payload)
-            round_idx += 1
-            # --- evaluate ---
-            with self._timer.phase("evaluate"):
-                totals = np.array(
-                    [state.estimate_total(c, strat)[0] for c in range(k)]
-                )
-                best = int(np.argmin(np.where(np.isfinite(totals), totals,
-                                              np.inf)))
-                round_key = (best, strat_version)
-                if round_key != cache_key:
-                    pair_cache = {}
-                    cache_key = round_key
-                active_set = set(active)
-                pair_stats: Dict[int, Tuple[float, float]] = {}
-                pairwise: List[float] = []
-                for j in range(k):
-                    if j == best:
-                        continue
-                    if j not in active_set and j in pair_cache:
-                        mean_diff, var_diff = pair_cache[j]
-                    else:
-                        mean_diff, var_diff = state.pair_estimate(
-                            best, j, strat
-                        )
-                        if j not in active_set:
-                            pair_cache[j] = (mean_diff, var_diff)
-                    pair_stats[j] = (mean_diff, var_diff)
-                    pairwise.append(
-                        pairwise_prcs(-mean_diff, var_diff, opts.delta)
-                    )
-                prcs = bonferroni(pairwise) if pairwise else 1.0
-            history.append((calls_used(), prcs))
-
-            # --- terminate? ---
-            if prcs > opts.alpha:
-                consec += 1
-            else:
-                consec = 0
-            if consec >= opts.consecutive:
-                terminated_by = "alpha"
-                break
-            if not self._budget_left(calls_used()):
-                terminated_by = "max_calls"
-                break
-
-            # --- eliminate ---
-            if opts.eliminate:
-                still = []
-                for j in active:
-                    if j == best:
-                        still.append(j)
-                        continue
-                    mean_diff, var_diff = pair_stats[j]
-                    p = pairwise_prcs(-mean_diff, var_diff, opts.delta)
-                    if p > opts.elimination_threshold:
-                        eliminated.append(j)
-                    else:
-                        still.append(j)
-                active = still
-                if best not in active:
-                    active.append(best)
-
-            # --- progressive stratification (Algorithm 2) ---
-            if opts.stratify == "progressive":
-                with self._timer.phase("split"):
-                    new_strat = self._delta_split(
-                        state, strat, best, pair_stats, len(active)
-                    )
-                if new_strat is not strat:
-                    strat = new_strat
-                    strat_version += 1
-
-            # --- draw the next batch of samples ---
-            rounds = self._next_batch_rounds(
-                calls_used(),
-                max(1, opts.reeval_every) * max(1, len(active)),
-                consec,
-            )
-            if not self._delta_draw(state, strat, best, pair_stats, active,
-                                    rounds):
-                # Workload exhausted: estimates are now exact.
-                terminated_by = "exhausted"
-                totals = np.array(
-                    [state.estimate_total(c, strat)[0] for c in range(k)]
-                )
-                best = int(np.argmin(totals))
-                prcs = 1.0
-                break
-
-        totals = np.array(
-            [state.estimate_total(c, strat)[0] for c in range(k)]
-        )
-        best = int(np.argmin(totals))
-        self._final_strata = strat.strata
-        return SelectionResult(
-            best_index=best,
-            prcs=prcs,
-            optimizer_calls=calls_used(),
-            estimates=totals,
-            eliminated=eliminated,
-            stratum_counts={h: int(n) for h, n in enumerate(strat.sizes)},
-            terminated_by=terminated_by,
-            history=history,
-            queries_sampled=state.sample_count(),
-            final_strata=strat.strata,
-        )
-
-    def _delta_pilot(
-        self,
-        state: DeltaState,
-        strat: Stratification,
-        active: Sequence[int],
-    ) -> None:
-        """Fill every stratum to ``n_min`` shared samples (or exhaust).
-
-        Carried warm-start samples count toward the target, so a
-        well-carried stratum costs the pilot nothing.  Each stratum's
-        deficit is drawn ahead and costed in one ``cost_many`` batch
-        (chunked only where the call budget may bind).
-        """
-        active = list(active)
-        per_draw = max(1, len(active))
-        for stratum in strat.strata:
-            drawn = sum(state.sampler.drawn(t) for t in stratum)
-            target = min(
-                self.options.n_min,
-                sum(self.template_sizes[t] for t in stratum),
-            )
-            while drawn < target:
-                chunk = self._chunk_allowance(target - drawn, per_draw)
-                if chunk <= 0:
-                    return
-                with self._timer.phase("draw"):
-                    draws = state.sampler.draw_many(
-                        stratum, self.rng, chunk
-                    )
-                if draws:
-                    self._delta_ingest(state, draws, active)
-                    drawn += len(draws)
-                if len(draws) < chunk:
-                    break
-
-    def _delta_ingest(
-        self,
-        state: DeltaState,
-        draws: Sequence[Tuple[int, int]],
-        active: Sequence[int],
-    ) -> None:
-        """Cost a draw-ahead batch in one call and fold it in.
-
-        Pairs are laid out query-major (every active configuration of
-        a draw back to back), so ingestion replays the serial
-        accumulator-update order exactly.
-        """
-        k_a = len(active)
-        qs = np.fromiter(
-            (q for q, _t in draws), dtype=np.int64, count=len(draws)
-        )
-        pairs = np.empty((len(draws) * k_a, 2), dtype=np.int64)
-        pairs[:, 0] = np.repeat(qs, k_a)
-        pairs[:, 1] = np.tile(
-            np.asarray(active, dtype=np.int64), len(draws)
-        )
-        with self._timer.phase("cost"):
-            values = self.source.cost_many(pairs)
-        with self._timer.phase("ingest"):
-            for d, (qidx, tid) in enumerate(draws):
-                state.ingest(
-                    qidx, tid, active, values[d * k_a:(d + 1) * k_a]
-                )
-
-    def _delta_split(
-        self,
-        state: DeltaState,
-        strat: Stratification,
-        best: int,
-        pair_stats: Dict[int, Tuple[float, float]],
-        k_active: int,
-    ) -> Stratification:
-        """Consult Algorithm 2 using the binding pair's difference stats."""
-        binding = self._binding_pair(pair_stats, k_active)
-        if binding is None:
-            return strat
-        j, target_var = binding
-        counts, means, m2s = state.diff_template_moments(best, j)
-        t_vars = np.where(counts >= 2, m2s / np.maximum(1, counts - 1), 0.0)
-        decision = self._propose_split(
-            ("delta", best, j),
-            strat,
-            counts,
-            means,
-            t_vars,
-            target_var,
-        )
-        if decision is None:
-            return strat
-        new_strat = strat.split(
-            decision.stratum_idx, decision.left, decision.right
-        )
-        # Line 8 of Algorithm 1: pilot the refreshed strata.
-        self._delta_pilot(state, new_strat, self._active_or_all(pair_stats,
-                                                                best))
-        return new_strat
-
-    def _active_or_all(
-        self, pair_stats: Dict[int, Tuple[float, float]], best: int
-    ) -> List[int]:
-        return sorted(set(pair_stats) | {best})
-
-    def _propose_split(
-        self,
-        owner: Tuple,
-        strat: Stratification,
-        counts: np.ndarray,
-        means: np.ndarray,
-        t_vars: np.ndarray,
-        target_var: float,
-    ):
-        """Dispatch Algorithm 2 per ``options.split_scoring``.
-
-        The incremental kernel reuses one cache per moment owner;
-        entries are stamped by stratum sample counts, so only strata
-        that ingested samples since the owner's last check rebuild.
-        """
-        if self.options.split_scoring == "reference":
-            return propose_split_reference(
-                strat, self._template_size_arr, counts, means, t_vars,
-                target_var, self.options.n_min,
-            )
-        cache = self._split_caches.setdefault(owner, {})
-        return propose_split(
-            strat, self._template_size_arr, counts, means, t_vars,
-            target_var, self.options.n_min, cache=cache,
-        )
-
     def _binding_pair(
-        self,
-        pair_stats: Dict[int, Tuple[float, float]],
-        k_active: int,
+        self, pair_stats: _PairStats, k_active: int
     ) -> Optional[Tuple[int, float]]:
         """The pair needing the smallest (hardest) target variance."""
         alpha_pair = per_pair_alpha(self.options.alpha, max(2, k_active))
@@ -1126,15 +962,136 @@ class ConfigurationSelector:
             return None
         return best_j, best_target
 
-    def _delta_draw(
+    def _refine(
         self,
-        state: DeltaState,
+        owner,
         strat: Stratification,
-        best: int,
-        pair_stats: Dict[int, Tuple[float, float]],
-        active: Sequence[int],
-        rounds: int = 1,
-    ) -> bool:
+        moments: Tuple[np.ndarray, np.ndarray, np.ndarray],
+        target_var: float,
+    ) -> Optional[Stratification]:
+        """Algorithm 2 over per-template ``(count, mean, M2)`` moments.
+
+        Returns the refined stratification, or ``None`` when no split
+        pays.  Each moment owner keeps one split cache; entries are
+        stamped by stratum sample counts, so only strata that ingested
+        samples since the owner's last check rebuild.
+        """
+        counts, means, m2s = moments
+        t_vars = np.where(counts >= 2, m2s / np.maximum(1, counts - 1), 0.0)
+        decision = propose_split(
+            strat, self._template_size_arr, counts, means, t_vars,
+            target_var, self.options.n_min,
+            cache=self._split_caches.setdefault(owner, {}),
+        )
+        if decision is None:
+            return None
+        return strat.split(
+            decision.stratum_idx, decision.left, decision.right
+        )
+
+
+class _DeltaScheme:
+    """Delta Sampling (§4.2): one shared sample evaluated in every
+    active configuration, pairwise difference estimators and one
+    stratification for all configurations."""
+
+    def __init__(self, sel: ConfigurationSelector) -> None:
+        self.sel = sel
+        self.k = sel.source.n_configs
+        # Serial runs use the exact buffer reductions (bit-identical to
+        # the golden fixture); batched runs the O(1) Welford updates,
+        # which measured faster there at equal calls (docs/performance.md,
+        # Layer 3).
+        self.state = DeltaState(
+            self.k, sel.n_templates, sel.indices_by_template, sel.rng,
+            estimator=(
+                "buffer" if sel.options.batch_rounds == 1 else "welford"
+            ),
+        )
+        self.strat: Optional[Stratification] = None
+        self.strat_version = 0
+        # Eliminated configurations stop sampling, so their aligned
+        # difference moments against any configuration are frozen;
+        # their pair estimates are cached per (best, stratification)
+        # to keep large-k rounds cheap.  (Rebuilt from frozen buffers
+        # on resume, so the recomputed entries are bit-identical.)
+        self._pair_cache: _PairStats = {}
+        self._cache_key: Optional[Tuple[int, int]] = None
+
+    # --- lifecycle ----------------------------------------------------
+    def import_warm(self, warm: SelectorState) -> int:
+        return self.state.import_samples(warm.values)
+
+    def start(self) -> None:
+        self.strat = self.sel._initial_stratification()
+
+    def restore(self, payload: dict) -> None:
+        self.state.restore_state(payload["state"])
+        self.strat = Stratification(
+            [tuple(int(t) for t in g) for g in payload["strata"]],
+            self.sel.template_sizes,
+        )
+        self.strat_version = int(payload["strat_version"])
+
+    def checkpoint_fields(self) -> dict:
+        return {
+            "strata": [
+                [int(t) for t in group] for group in self.strat.strata
+            ],
+            "strat_version": int(self.strat_version),
+            "state": self.state.state_dict(),
+        }
+
+    def export(self, strata) -> SelectorState:
+        return SelectorState(
+            scheme="delta", n_configs=self.k,
+            values=self.state.export_samples(), strata=strata,
+        )
+
+    # --- sampling -----------------------------------------------------
+    def calls_per_draw(self, active: Sequence[int]) -> int:
+        return max(1, len(active))
+
+    def _ingest(self, draws: _Draws, configs: Sequence[int]) -> None:
+        """Cost a draw-ahead batch in one call and fold it in.
+
+        Pairs are laid out query-major (every configuration of a draw
+        back to back), so ingestion replays the serial
+        accumulator-update order exactly.
+        """
+        k_a = len(configs)
+        qs = np.fromiter(
+            (q for q, _t in draws), dtype=np.int64, count=len(draws)
+        )
+        pairs = np.empty((len(draws) * k_a, 2), dtype=np.int64)
+        pairs[:, 0] = np.repeat(qs, k_a)
+        pairs[:, 1] = np.tile(
+            np.asarray(configs, dtype=np.int64), len(draws)
+        )
+        with self.sel._timer.phase("cost"):
+            values = self.sel.source.cost_many(pairs)
+        with self.sel._timer.phase("ingest"):
+            for d, (qidx, tid) in enumerate(draws):
+                self.state.ingest(
+                    qidx, tid, configs, values[d * k_a:(d + 1) * k_a]
+                )
+
+    def _drawn_in(self, stratum: Sequence[int]) -> int:
+        return sum(self.state.sampler.drawn(t) for t in stratum)
+
+    def pilot(self, strat: Optional[Stratification] = None) -> None:
+        """Pilot ``strat`` (default: the current one) in every
+        configuration, eliminated ones included."""
+        configs = list(range(self.k))
+        self.sel._pilot(
+            self.state.sampler,
+            self.strat if strat is None else strat,
+            self._drawn_in, len(configs),
+            lambda draws: self._ingest(draws, configs),
+        )
+
+    def draw(self, best: int, pair_stats: _PairStats,
+             active: Sequence[int], rounds: int) -> bool:
         """Plan up to ``rounds`` §5.2 stratum picks ahead, then draw.
 
         Each planned round re-runs the variance-greedy stratum choice
@@ -1142,10 +1099,11 @@ class ConfigurationSelector:
         the same allocation trajectory the serial schedule would; the
         whole plan is then drawn, costed via ``cost_many`` and
         ingested.  ``rounds=1`` reproduces the serial behavior
-        bit-identically (one pick, up to ``reeval_every`` draws, the
-        serial budget-truncation arithmetic).
+        bit-identically.  Returns ``False`` when every stratum is
+        exhausted.
         """
-        with self._timer.phase("plan"):
+        state, strat, sel = self.state, self.strat, self.sel
+        with sel._timer.phase("plan"):
             sizes = strat.sizes
             L = strat.stratum_count
             counts = np.zeros(L, dtype=np.int64)
@@ -1167,8 +1125,8 @@ class ConfigurationSelector:
                     if n_h >= 2:
                         vars_h[h] = m2_h / (n_h - 1)
                 pair_vars.append(vars_h)
-            overheads = self._stratum_overheads(strat)
-            per_round = max(1, self.options.reeval_every)
+            overheads = sel._stratum_overheads(strat)
+            per_round = max(1, sel.options.reeval_every)
             # Round-to-round only the picked stratum's count moves, so
             # the variance-greedy scores are maintained incrementally
             # (bit-identical to a per-round pick_delta_stratum call).
@@ -1189,9 +1147,6 @@ class ConfigurationSelector:
                 if pick is None:
                     break
                 n = int(min(per_round, remaining[pick]))
-                if n <= 0:
-                    exhausted[pick] = True
-                    continue
                 if plan and plan[-1][0] == pick:
                     plan[-1] = (pick, plan[-1][1] + n)
                 else:
@@ -1202,331 +1157,209 @@ class ConfigurationSelector:
                     exhausted[pick] = True
                 if scorer is not None:
                     scorer.refresh(pick)
-        # Draw/cost/ingest the plan, chunked where the budget may bind.
         active = list(active)
-        per_draw = max(1, len(active))
         drew_any = False
         for pick, n in plan:
-            stratum = strat.strata[pick]
-            pending = n
-            while pending > 0:
-                chunk = self._chunk_allowance(pending, per_draw)
-                if chunk <= 0 and not drew_any:
-                    # Serially, the round's first draw skips the budget
-                    # check (possible after a split's pilot spent it).
-                    chunk = 1
-                if chunk <= 0:
-                    return drew_any
-                with self._timer.phase("draw"):
-                    draws = state.sampler.draw_many(
-                        stratum, self.rng, chunk
-                    )
-                if draws:
-                    self._delta_ingest(state, draws, active)
-                    drew_any = True
-                    pending -= len(draws)
-                if len(draws) < chunk:
-                    break
-        return drew_any
+            drawn, budget_left = sel._draw_chunked(
+                state.sampler, strat.strata[pick], n,
+                self.calls_per_draw(active),
+                lambda draws: self._ingest(draws, active),
+                first_free=not drew_any,
+            )
+            drew_any = drew_any or drawn > 0
+            if not budget_left:
+                break
+        return True
 
-    # ------------------------------------------------------------------
-    # Independent Sampling driver
-    # ------------------------------------------------------------------
-    def _run_independent(
-        self, resume: Optional[dict] = None
-    ) -> SelectionResult:
-        opts = self.options
-        k = self.source.n_configs
-        state = IndependentState(
-            k, self.n_templates, self.indices_by_template, self.rng
+    # --- estimation ---------------------------------------------------
+    def totals(self) -> np.ndarray:
+        return np.array(
+            [self.state.estimate_total(c, self.strat)[0]
+             for c in range(self.k)]
         )
-        self._independent_state = state
-        if resume is not None:
-            state.restore_state(resume["state"])
-            restore_rng(self.rng, resume["rng"])
-            self.carried_samples = int(resume["carried_samples"])
-            self._round_mult = int(resume["round_mult"])
-            strats = [
-                Stratification(
-                    [tuple(int(t) for t in g) for g in groups],
-                    self.template_sizes,
-                )
-                for groups in resume["strats"]
-            ]
-            active = [int(j) for j in resume["active"]]
-            eliminated = [int(j) for j in resume["eliminated"]]
-            consec = int(resume["consec"])
-            history = [
-                (int(c), float(p)) for c, p in resume["history"]
-            ]
-            last_sampled = (
-                None if resume["last_sampled"] is None
-                else int(resume["last_sampled"])
-            )
-            round_idx = int(resume["round"])
-            start_calls = self.source.calls - int(resume["calls_used"])
-        else:
-            self._round_mult = 1
-            if self.warm_state is not None:
-                self.carried_samples = state.import_moments(
-                    self.warm_state.moments
-                )
-            strats = [
-                self._initial_stratification() for _ in range(k)
-            ]
-            active = list(range(k))
-            eliminated = []
-            consec = 0
-            history = []
-            last_sampled = None
-            round_idx = 0
-            start_calls = self.source.calls
-        self._start_calls = start_calls
-        terminated_by = "exhausted"
 
-        def calls_used() -> int:
-            return self.source.calls - start_calls
-
-        if resume is None:
-            for c in range(k):
-                self._independent_pilot(state, strats[c], c)
-
-        while True:
-            if self._checkpoint_due(round_idx):
-                payload = self._checkpoint_common(
-                    round_idx, calls_used(), active, eliminated,
-                    consec, history,
-                )
-                payload["strats"] = [
-                    [[int(t) for t in group] for group in s.strata]
-                    for s in strats
-                ]
-                payload["last_sampled"] = (
-                    None if last_sampled is None else int(last_sampled)
-                )
-                payload["state"] = state.state_dict()
-                save_checkpoint(self.checkpoint_path, payload)
-            round_idx += 1
-            with self._timer.phase("evaluate"):
-                ests = [state.estimate(c, strats[c]) for c in range(k)]
-                totals = np.array([e[0] for e in ests])
-                variances = np.array([e[1] for e in ests])
-                best = int(np.argmin(np.where(np.isfinite(totals), totals,
-                                              np.inf)))
-                pairwise = []
-                pair_stats: Dict[int, Tuple[float, float]] = {}
-                for j in range(k):
-                    if j == best:
-                        continue
-                    gap = float(totals[j] - totals[best])
-                    var = float(variances[j] + variances[best])
-                    pair_stats[j] = (-gap, var)
-                    pairwise.append(pairwise_prcs(gap, var, opts.delta))
-                prcs = bonferroni(pairwise) if pairwise else 1.0
-            history.append((calls_used(), prcs))
-
-            if prcs > opts.alpha:
-                consec += 1
-            else:
-                consec = 0
-            if consec >= opts.consecutive:
-                terminated_by = "alpha"
-                break
-            if not self._budget_left(calls_used()):
-                terminated_by = "max_calls"
-                break
-
-            if opts.eliminate:
-                still = []
-                for j in active:
-                    if j == best:
-                        still.append(j)
-                        continue
-                    gap, var = -pair_stats[j][0], pair_stats[j][1]
-                    if pairwise_prcs(gap, var, opts.delta) > \
-                            opts.elimination_threshold:
-                        eliminated.append(j)
-                    else:
-                        still.append(j)
-                active = still
-                if best not in active:
-                    active.append(best)
-
-            # Progressive stratification for the last-sampled config.
-            if opts.stratify == "progressive" and last_sampled is not None \
-                    and last_sampled in active:
-                with self._timer.phase("split"):
-                    strats[last_sampled] = self._independent_split(
-                        state, strats[last_sampled], last_sampled,
-                        pair_stats, len(active),
-                    )
-
-            # Plan up to `rounds` greedy (configuration, stratum) picks
-            # ahead; pending draws feed back into the scores so the
-            # batch follows the serial allocation trajectory.
-            rounds = self._next_batch_rounds(
-                calls_used(), max(1, opts.reeval_every), consec
-            )
-            per_round = max(1, opts.reeval_every)
-            with self._timer.phase("plan"):
-                plan: List[Tuple[int, int, int]] = []
-                pending: Dict[Tuple[int, int], int] = {}
-                for _ in range(max(1, rounds)):
-                    pick = self._independent_pick(
-                        state, strats, active, pending
-                    )
-                    if pick is None:
-                        break
-                    config, stratum_idx = pick
-                    already = pending.get((config, stratum_idx), 0)
-                    avail = state.samplers[config].remaining_in(
-                        strats[config].strata[stratum_idx]
-                    ) - already
-                    n = int(min(per_round, avail))
-                    if n <= 0:
-                        break
-                    plan.append((config, stratum_idx, n))
-                    pending[(config, stratum_idx)] = already + n
-            if not plan:
-                terminated_by = "exhausted"
-                prcs = 1.0
-                break
-            drew_any = False
-            budget_bound = False
-            for config, stratum_idx, n in plan:
-                stratum = strats[config].strata[stratum_idx]
-                remaining = n
-                while remaining > 0:
-                    chunk = self._chunk_allowance(remaining, 1)
-                    if chunk <= 0 and not drew_any:
-                        # Serially, the round's first draw skips the
-                        # budget check (possible after a split pilot).
-                        chunk = 1
-                    if chunk <= 0:
-                        budget_bound = True
-                        break
-                    with self._timer.phase("draw"):
-                        draws = state.samplers[config].draw_many(
-                            stratum, self.rng, chunk
-                        )
-                    if draws:
-                        self._independent_ingest(state, config, draws)
-                        drew_any = True
-                        last_sampled = config
-                        remaining -= len(draws)
-                    if len(draws) < chunk:
-                        break
-                if budget_bound:
-                    break
-            if not drew_any:
-                # Raced into exhaustion; try again next round.
+    def evaluate(self, active: Sequence[int]) -> Tuple[int, _PairStats]:
+        best = _leader(self.totals())
+        round_key = (best, self.strat_version)
+        if round_key != self._cache_key:
+            self._pair_cache = {}
+            self._cache_key = round_key
+        active_set = set(active)
+        pair_stats: _PairStats = {}
+        for j in range(self.k):
+            if j == best:
                 continue
+            stats = None if j in active_set else self._pair_cache.get(j)
+            if stats is None:
+                stats = self.state.pair_estimate(best, j, self.strat)
+                if j not in active_set:
+                    self._pair_cache[j] = stats
+            pair_stats[j] = stats
+        return best, pair_stats
 
-        ests = [state.estimate(c, strats[c]) for c in range(k)]
-        totals = np.array([e[0] for e in ests])
-        best = int(np.argmin(totals))
-        self._final_strata = strats[best].strata
-        return SelectionResult(
-            best_index=best,
-            prcs=prcs,
-            optimizer_calls=calls_used(),
-            estimates=totals,
-            eliminated=eliminated,
-            stratum_counts={
-                c: strats[c].stratum_count for c in range(k)
-            },
-            terminated_by=terminated_by,
-            history=history,
-            queries_sampled=sum(
-                state.sample_count(c) for c in range(k)
-            ),
-            final_strata=strats[best].strata,
+    def split(self, best: int, pair_stats: _PairStats,
+              active: Sequence[int]) -> None:
+        """Consult Algorithm 2 on the binding pair's difference stats."""
+        binding = self.sel._binding_pair(pair_stats, len(active))
+        if binding is None:
+            return
+        j, target_var = binding
+        # diff_template_moments negates means with direction, which
+        # flips the cut ordering: caches key by the directed pair.
+        new_strat = self.sel._refine(
+            (best, j), self.strat,
+            self.state.diff_template_moments(best, j), target_var,
+        )
+        if new_strat is None:
+            return
+        # Line 8 of Algorithm 1: pilot the refreshed strata.
+        self.pilot(new_strat)
+        self.strat = new_strat
+        self.strat_version += 1
+
+    def summary(self, best: int):
+        return (
+            self.strat.strata,
+            {h: int(n) for h, n in enumerate(self.strat.sizes)},
+            self.state.sample_count(),
         )
 
-    def _independent_pilot(
-        self, state: IndependentState, strat: Stratification, config: int
-    ) -> None:
-        for stratum in strat.strata:
-            drawn = sum(
-                int(state.grid.count[config, t]) for t in stratum
-            )
-            target = min(
-                self.options.n_min,
-                sum(self.template_sizes[t] for t in stratum),
-            )
-            while drawn < target:
-                chunk = self._chunk_allowance(target - drawn, 1)
-                if chunk <= 0:
-                    return
-                with self._timer.phase("draw"):
-                    draws = state.samplers[config].draw_many(
-                        stratum, self.rng, chunk
-                    )
-                if draws:
-                    self._independent_ingest(state, config, draws)
-                    drawn += len(draws)
-                if len(draws) < chunk:
-                    break
 
-    def _independent_ingest(
-        self,
-        state: IndependentState,
-        config: int,
-        draws: Sequence[Tuple[int, int]],
-    ) -> None:
+class _IndependentScheme:
+    """Independent Sampling (§4.1): every configuration draws its own
+    sample under its own stratification."""
+
+    def __init__(self, sel: ConfigurationSelector) -> None:
+        self.sel = sel
+        self.k = sel.source.n_configs
+        self.state = IndependentState(
+            self.k, sel.n_templates, sel.indices_by_template, sel.rng
+        )
+        self.strats: List[Stratification] = []
+        #: The configuration the last draw went to: the one whose
+        #: stratification Algorithm 2 refines next.
+        self.last_sampled: Optional[int] = None
+
+    # --- lifecycle ----------------------------------------------------
+    def import_warm(self, warm: SelectorState) -> int:
+        return self.state.import_moments(warm.moments)
+
+    def start(self) -> None:
+        self.strats = [
+            self.sel._initial_stratification() for _ in range(self.k)
+        ]
+
+    def restore(self, payload: dict) -> None:
+        self.state.restore_state(payload["state"])
+        self.strats = [
+            Stratification(
+                [tuple(int(t) for t in g) for g in groups],
+                self.sel.template_sizes,
+            )
+            for groups in payload["strats"]
+        ]
+        self.last_sampled = (
+            None if payload["last_sampled"] is None
+            else int(payload["last_sampled"])
+        )
+
+    def checkpoint_fields(self) -> dict:
+        return {
+            "strats": [
+                [[int(t) for t in group] for group in s.strata]
+                for s in self.strats
+            ],
+            "last_sampled": (
+                None if self.last_sampled is None
+                else int(self.last_sampled)
+            ),
+            "state": self.state.state_dict(),
+        }
+
+    def export(self, strata) -> SelectorState:
+        return SelectorState(
+            scheme="independent", n_configs=self.k,
+            moments=self.state.export_moments(), strata=strata,
+        )
+
+    # --- sampling -----------------------------------------------------
+    def calls_per_draw(self, active: Sequence[int]) -> int:
+        return 1
+
+    def _ingest(self, config: int, draws: _Draws) -> None:
         """Cost one configuration's draw-ahead batch and fold it in."""
         pairs = np.empty((len(draws), 2), dtype=np.int64)
         pairs[:, 0] = np.fromiter(
             (q for q, _t in draws), dtype=np.int64, count=len(draws)
         )
         pairs[:, 1] = config
-        with self._timer.phase("cost"):
-            values = self.source.cost_many(pairs)
-        with self._timer.phase("ingest"):
-            for (qidx, tid), value in zip(draws, values):
-                state.ingest(config, tid, value)
+        with self.sel._timer.phase("cost"):
+            values = self.sel.source.cost_many(pairs)
+        with self.sel._timer.phase("ingest"):
+            for (_qidx, tid), value in zip(draws, values):
+                self.state.ingest(config, tid, value)
 
-    def _independent_split(
-        self,
-        state: IndependentState,
-        strat: Stratification,
-        config: int,
-        pair_stats: Dict[int, Tuple[float, float]],
-        k_active: int,
-    ) -> Stratification:
-        binding = self._binding_pair(pair_stats, k_active)
-        if binding is None:
-            return strat
-        _j, pair_target = binding
-        # Per-config target: half the pair's variance budget (the pair
-        # variance is the sum of two per-config variances).
-        target_var = pair_target / 2.0
-        counts = state.grid.count[config]
-        means = state.grid.mean[config]
-        m2s = state.grid.m2[config]
-        t_vars = np.where(counts >= 2, m2s / np.maximum(1, counts - 1), 0.0)
-        decision = self._propose_split(
-            ("independent", config),
-            strat,
-            counts,
-            means,
-            t_vars,
-            target_var,
+    def _pilot_config(self, config: int, strat: Stratification) -> None:
+        count = self.state.grid.count
+        self.sel._pilot(
+            self.state.samplers[config], strat,
+            lambda stratum: sum(int(count[config, t]) for t in stratum),
+            1, lambda draws: self._ingest(config, draws),
         )
-        if decision is None:
-            return strat
-        new_strat = strat.split(
-            decision.stratum_idx, decision.left, decision.right
-        )
-        self._independent_pilot(state, new_strat, config)
-        return new_strat
 
-    def _independent_pick(
+    def pilot(self) -> None:
+        for c in range(self.k):
+            self._pilot_config(c, self.strats[c])
+
+    def draw(self, best: int, pair_stats: _PairStats,
+             active: Sequence[int], rounds: int) -> bool:
+        """Plan up to ``rounds`` greedy (configuration, stratum) picks
+        ahead, then draw them.
+
+        Pending draws feed back into the scores so the batch follows
+        the serial allocation trajectory.  Returns ``False`` when no
+        active configuration has anything left to draw.
+        """
+        sel = self.sel
+        per_round = max(1, sel.options.reeval_every)
+        with sel._timer.phase("plan"):
+            plan: List[Tuple[int, int, int]] = []
+            pending: Dict[Tuple[int, int], int] = {}
+            for _ in range(max(1, rounds)):
+                pick = self._pick(active, pending)
+                if pick is None:
+                    break
+                config, stratum_idx = pick
+                already = pending.get((config, stratum_idx), 0)
+                avail = self.state.samplers[config].remaining_in(
+                    self.strats[config].strata[stratum_idx]
+                ) - already
+                n = int(min(per_round, avail))
+                if n <= 0:
+                    break
+                plan.append((config, stratum_idx, n))
+                pending[(config, stratum_idx)] = already + n
+        if not plan:
+            return False
+        drew_any = False
+        for config, stratum_idx, n in plan:
+            drawn, budget_left = sel._draw_chunked(
+                self.state.samplers[config],
+                self.strats[config].strata[stratum_idx], n, 1,
+                lambda draws, c=config: self._ingest(c, draws),
+                first_free=not drew_any,
+            )
+            if drawn:
+                drew_any = True
+                self.last_sampled = config
+            if not budget_left:
+                break
+        return True
+
+    def _pick(
         self,
-        state: IndependentState,
-        strats: Sequence[Stratification],
         active: Sequence[int],
-        pending: Optional[Dict[Tuple[int, int], int]] = None,
+        pending: Dict[Tuple[int, int], int],
     ) -> Optional[Tuple[int, int]]:
         """Greedy (configuration, stratum) choice per §5.2.
 
@@ -1538,17 +1371,18 @@ class ConfigurationSelector:
         best_pick: Optional[Tuple[int, int]] = None
         best_score = -1.0
         for config in active:
-            strat = strats[config]
-            stats = state.stratum_stats(config, strat)
-            overheads = self._stratum_overheads(strat)
+            strat = self.strats[config]
+            stats = self.state.stratum_stats(config, strat)
+            overheads = self.sel._stratum_overheads(strat)
             L = strat.stratum_count
             planned = np.zeros(L, dtype=np.int64)
             open_mask = np.zeros(L, dtype=bool)
             for h, stratum in enumerate(strat.strata):
-                p = pending.get((config, h), 0) if pending else 0
+                p = pending.get((config, h), 0)
                 planned[h] = p
                 open_mask[h] = (
-                    state.samplers[config].remaining_in(stratum) - p > 0
+                    self.state.samplers[config].remaining_in(stratum) - p
+                    > 0
                 )
             if not open_mask.any():
                 continue
@@ -1564,3 +1398,54 @@ class ConfigurationSelector:
                 best_score = float(scores[h])
                 best_pick = (config, h)
         return best_pick
+
+    # --- estimation ---------------------------------------------------
+    def totals(self) -> np.ndarray:
+        return np.array(
+            [self.state.estimate(c, self.strats[c])[0]
+             for c in range(self.k)]
+        )
+
+    def evaluate(self, active: Sequence[int]) -> Tuple[int, _PairStats]:
+        ests = [
+            self.state.estimate(c, self.strats[c]) for c in range(self.k)
+        ]
+        totals = np.array([e[0] for e in ests])
+        variances = np.array([e[1] for e in ests])
+        best = _leader(totals)
+        pair_stats: _PairStats = {}
+        for j in range(self.k):
+            if j == best:
+                continue
+            gap = float(totals[j] - totals[best])
+            pair_stats[j] = (-gap, float(variances[j] + variances[best]))
+        return best, pair_stats
+
+    def split(self, best: int, pair_stats: _PairStats,
+              active: Sequence[int]) -> None:
+        """Consult Algorithm 2 for the last-sampled configuration."""
+        config = self.last_sampled
+        if config is None or config not in active:
+            return
+        binding = self.sel._binding_pair(pair_stats, len(active))
+        if binding is None:
+            return
+        grid = self.state.grid
+        # Per-config target: half the pair's variance budget (the pair
+        # variance is the sum of two per-config variances).
+        new_strat = self.sel._refine(
+            config, self.strats[config],
+            (grid.count[config], grid.mean[config], grid.m2[config]),
+            binding[1] / 2.0,
+        )
+        if new_strat is None:
+            return
+        self._pilot_config(config, new_strat)
+        self.strats[config] = new_strat
+
+    def summary(self, best: int):
+        return (
+            self.strats[best].strata,
+            {c: self.strats[c].stratum_count for c in range(self.k)},
+            sum(self.state.sample_count(c) for c in range(self.k)),
+        )

@@ -151,7 +151,6 @@ def knockout_tournament(
                 elimination_threshold=base.elimination_threshold,
                 max_calls=base.max_calls,
                 reeval_every=base.reeval_every,
-                split_check_every=base.split_check_every,
             )
             result = ConfigurationSelector(
                 pair_source, template_ids, round_options, rng=rng

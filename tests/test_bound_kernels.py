@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.bounds import bounds_cache_stats, clear_bounds_caches
-from repro.bounds._dp import apply_group, apply_group_reference
+from repro.bounds._dp import apply_group
 from repro.bounds.skew_bound import max_skew_bound, skew_bound_cache_stats
 from repro.bounds.variance_bound import (
     max_variance_bound,
@@ -25,8 +25,10 @@ from repro.core.allocation import (
     pick_delta_stratum,
     samples_needed_batch,
 )
-from repro.core.progressive import propose_split, propose_split_reference
+from repro.core.progressive import propose_split
 from repro.core.stratification import Stratification
+
+from tests.oracles import apply_group_reference, propose_split_reference
 
 
 # ---------------------------------------------------------------------------

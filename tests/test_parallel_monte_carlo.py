@@ -133,12 +133,8 @@ class TestSelectorOptionValidation:
         with pytest.raises(ValueError, match="reeval_every"):
             SelectorOptions(reeval_every=0)
 
-    def test_split_check_every_must_be_positive(self):
-        with pytest.raises(ValueError, match="split_check_every"):
-            SelectorOptions(split_check_every=-1)
-
     def test_valid_options_pass(self):
-        SelectorOptions(reeval_every=1, split_check_every=1)
+        SelectorOptions(reeval_every=1)
 
 
 class TestProfilingLayer:
